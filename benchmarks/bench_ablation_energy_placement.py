@@ -61,7 +61,7 @@ def test_ablation_energy_placement(benchmark):
 
     p_res, p_acct = runs["p-cores"]
     e_res, e_acct = runs["e-cores"]
-    # The Pareto trade-off the X7 study (and the CI energy-smoke job)
+    # The Pareto trade-off the X7 study (and the CI study-smoke job)
     # pins: P-pinning buys the tail, E-pinning the energy.
     assert max(x.duration for x in p_res.gc_log.pauses) < \
         max(x.duration for x in e_res.gc_log.pauses)

@@ -16,7 +16,7 @@ Every JVM run is a content-addressed campaign cell
 (:class:`~repro.campaign.cells.CellSpec`), so a shared
 :class:`~repro.campaign.store.ResultStore` serves repeat studies from
 cache and the study JSON is byte-identical either way — the CI
-``lbo-smoke`` job enforces exactly that with ``cmp``. Because separate
+``study-smoke`` job enforces exactly that with ``cmp``. Because separate
 JVM invocations carry independent log-normal run noise (the paper's
 §3.2 methodology), overheads are averaged over the config's *seeds* and
 the distilled minimum is floored at zero: with finitely many
@@ -31,7 +31,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..errors import ConfigError
+from ..errors import ConfigError, require_axes
 from ..gc.registry import TABLE8_GC_NAMES, resolve_gc
 from ..units import GB, parse_size
 from .report import render_table
@@ -72,14 +72,8 @@ class LBOConfig:
     system_gc: bool = False
 
     def __post_init__(self) -> None:
-        if not self.benchmarks:
-            raise ConfigError("an LBO study needs at least one benchmark")
-        if not self.gcs:
-            raise ConfigError("an LBO study needs at least one collector")
-        if not self.heaps:
-            raise ConfigError("an LBO study needs at least one heap size")
-        if not self.seeds:
-            raise ConfigError("an LBO study needs at least one seed")
+        require_axes("an LBO study", benchmark=self.benchmarks,
+                     collector=self.gcs, heap_size=self.heaps, seed=self.seeds)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         gcs = tuple(resolve_gc(g).value for g in self.gcs)
@@ -286,58 +280,41 @@ class LBOStudyResult:
 # ----------------------------------------------------------------------
 
 
-def _run_cached(cell: "CellSpec", store=None):
-    """One cell result, served from *store* when possible.
-
-    Returns ``(result, was_cache_hit)``; fresh runs are recorded so the
-    next study is a pure cache run. Crashed runs are cached too — a
-    crash at these coordinates is deterministic.
-    """
-    from ..campaign.cells import run_cell
-
-    if store is not None:
-        cached = store.get_run(cell.digest())
-        if cached is not None:
-            return cached, True
-    result = run_cell(cell)
-    if store is not None:
-        store.record_ok(cell, result)
-    return result, False
-
-
 def run_lbo_study(config: LBOConfig, store=None) -> LBOStudyResult:
-    """Run the full collector x heap ladder against the ideal baseline."""
-    result = LBOStudyResult(config=config)
+    """Run the full collector x heap ladder against the ideal baseline
+    (a quarantined cell raises :class:`~repro.errors.QuarantinedCellError`)."""
+    from ..campaign.runner import execute_cells
+
+    done = execute_cells(config.cells(), store=store)
+    runs_by_digest = done.complete("LBO study")
+    result = LBOStudyResult(config=config, cache_hits=done.stats.cached,
+                            cells_total=done.stats.total)
 
     #: (gc, benchmark, heap_key) -> mean execution time (None = crashed).
     mean_exec: Dict[Tuple[str, str, str], Optional[float]] = {}
-    #: gc -> pooled pause durations / stall totals over non-crashed cells.
-    pooled_pauses: Dict[str, List[float]] = {g: [] for g in config.gcs}
-    stalls: Dict[str, List[float]] = {g: [0, 0.0] for g in config.gcs}
-    crashes: Dict[str, int] = {g: 0 for g in config.gcs}
+    #: gc -> pooled pause durations / stall totals over non-crashed cells
+    #: (kept for the ideal baseline too, which reports none of them).
+    gcs = (IDEAL_GC,) + config.gcs
+    pooled_pauses: Dict[str, List[float]] = {g: [] for g in gcs}
+    stalls: Dict[str, List[float]] = {g: [0, 0.0] for g in gcs}
+    crashes: Dict[str, int] = {g: 0 for g in gcs}
 
-    for gc in (IDEAL_GC,) + config.gcs:
+    for gc in gcs:
         for benchmark in config.benchmarks:
             for heap in config.heaps:
-                runs = []
+                times = []
                 for seed in config.seeds:
-                    cell = config.cell(gc, benchmark, heap, seed)
-                    run, hit = _run_cached(cell, store)
-                    result.cells_total += 1
-                    result.cache_hits += int(hit)
-                    runs.append(run)
+                    run = runs_by_digest[
+                        config.cell(gc, benchmark, heap, seed).digest()]
                     if run.crashed:
-                        if gc != IDEAL_GC:
-                            crashes[gc] += 1
+                        crashes[gc] += 1
                         continue
-                    if gc != IDEAL_GC:
-                        pooled_pauses[gc].extend(
-                            p.duration for p in run.gc_log.pauses)
-                        stalls[gc][0] += int(
-                            run.extras.get("alloc_stall_count", 0))
-                        stalls[gc][1] += float(
-                            run.extras.get("alloc_stall_seconds", 0.0))
-                times = [r.execution_time for r in runs if not r.crashed]
+                    times.append(run.execution_time)
+                    pooled_pauses[gc].extend(
+                        p.duration for p in run.gc_log.pauses)
+                    stalls[gc][0] += int(run.extras.get("alloc_stall_count", 0))
+                    stalls[gc][1] += float(
+                        run.extras.get("alloc_stall_seconds", 0.0))
                 mean_exec[(gc, benchmark, _heap_key(heap))] = (
                     sum(times) / len(times) if times else None)
 

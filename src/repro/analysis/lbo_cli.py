@@ -8,7 +8,7 @@
 
 ``run`` prints the distilled-cost table and (with ``--out``) writes the
 canonical study JSON — byte-identical across reruns of the same config,
-which the CI ``lbo-smoke`` job enforces with ``cmp``. Cell cache
+which the CI ``study-smoke`` job enforces with ``cmp``. Cell cache
 accounting goes to stdout only, never into the JSON.
 """
 

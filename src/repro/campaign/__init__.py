@@ -22,7 +22,8 @@ The package splits into focused modules:
 :mod:`~repro.campaign.cells`      pure picklable ``run_cell`` + codecs
 :mod:`~repro.campaign.executors`  serial / process executors
 :mod:`~repro.campaign.store`      content-addressed JSONL result store
-:mod:`~repro.campaign.runner`     orchestration, retries, quarantine
+:mod:`~repro.campaign.runner`     ``execute_cells`` (cache, retries,
+                                  quarantine) + ``run_campaign``
 :mod:`~repro.campaign.progress`   shared progress reporter (done/cached/
                                   failed, ETA)
 :mod:`~repro.campaign.cli`        the ``repro-campaign`` command
@@ -38,7 +39,8 @@ from .executors import (
     get_executor,
 )
 from .progress import ProgressReporter
-from .runner import CampaignResult, CampaignStats, run_campaign
+from .runner import (CampaignResult, CampaignStats, CellRuns, execute_cells,
+                     run_campaign)
 from .spec import CampaignSpec
 from .store import MergeStats, ResultStore, merge_stores, store_status
 
@@ -50,6 +52,7 @@ __all__ = [
     "CampaignSpec",
     "CampaignStats",
     "CellFailure",
+    "CellRuns",
     "CellSpec",
     "ProcessExecutor",
     "ProgressReporter",
@@ -58,6 +61,7 @@ __all__ = [
     "decode_run",
     "default_workers",
     "encode_run",
+    "execute_cells",
     "get_executor",
     "run_campaign",
     "run_cell",

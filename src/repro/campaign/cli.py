@@ -27,7 +27,7 @@ from typing import List, Optional
 from ..analysis.report import render_campaign_summary, render_table
 from ..errors import ReproError
 from ..studies import GridSpec
-from .progress import ProgressReporter
+from .progress import WALL_CLOCK, ProgressReporter
 from .runner import CampaignResult, run_campaign
 from .spec import CampaignSpec
 from .store import ResultStore, store_status
@@ -86,7 +86,8 @@ def _spec_from_args(args) -> CampaignSpec:
 
 
 def _execute(spec: CampaignSpec, args, store: Optional[ResultStore]) -> int:
-    reporter = ProgressReporter(spec.size) if args.progress else None
+    reporter = (ProgressReporter(spec.size, clock=WALL_CLOCK)
+                if args.progress else None)
     result = run_campaign(
         spec, store=store, executor=args.executor, workers=args.workers,
         timeout=args.timeout, retries=args.retries, reporter=reporter,

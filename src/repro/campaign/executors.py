@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
 
 from ..errors import ConfigError
 from ..jvm import RunResult
@@ -85,6 +85,28 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+def _raised(cell: CellSpec, exc: Exception) -> CellFailure:
+    """A cell function's exception, as an ``exception`` failure."""
+    return CellFailure(cell=cell, kind="exception",
+                       error=f"{type(exc).__name__}: {exc}", exc=exc)
+
+
+def _collect(cell: CellSpec, future, timeout: Optional[float]) -> Outcome:
+    """Wait for a pool *future*; a timeout, a dead pool or a raise comes
+    back as a :class:`CellFailure` (a timed-out future is cancelled)."""
+    try:
+        return future.result(timeout=timeout)
+    except FutureTimeoutError:
+        future.cancel()
+        return CellFailure(cell=cell, kind="timeout",
+                           error=f"cell exceeded {timeout}s wall-clock budget")
+    except BrokenProcessPool as exc:
+        return CellFailure(cell=cell, kind="broken-pool",
+                           error=str(exc) or "worker process died", exc=exc)
+    except Exception as exc:
+        return _raised(cell, exc)
+
+
 class SerialExecutor:
     """Run cells one after another in this process (the reference
     executor: `run_grid`'s historical behaviour)."""
@@ -104,26 +126,18 @@ class SerialExecutor:
         try:
             return fn(cell)
         except Exception as exc:
-            return CellFailure(cell=cell, kind="exception",
-                               error=f"{type(exc).__name__}: {exc}", exc=exc)
+            return _raised(cell, exc)
 
-    def run_cells(self, cells: Sequence[CellSpec], fn: CellFn, *,
+    def run_cells(self, cells: Iterable[CellSpec], fn: CellFn, *,
                   timeout: Optional[float] = None,
                   on_submit: SubmitHook = None) -> Iterator[Tuple[CellSpec, Outcome]]:
-        """Yield ``(cell, RunResult | CellFailure)`` in order.
-
-        ``timeout`` is accepted for interface parity but not enforced —
-        there is no second process to keep the deadline.
+        """Yield ``(cell, RunResult | CellFailure)`` in order, drawing each
+        cell from *cells* lazily (``timeout`` is unenforced, as above).
         """
         for cell in cells:
             if on_submit is not None:
                 on_submit(cell)
-            try:
-                yield cell, fn(cell)
-            except Exception as exc:
-                yield cell, CellFailure(cell=cell, kind="exception",
-                                        error=f"{type(exc).__name__}: {exc}",
-                                        exc=exc)
+            yield cell, self.run_one(cell, fn)
 
 
 class ProcessExecutor:
@@ -158,9 +172,7 @@ class ProcessExecutor:
 
     def open(self) -> None:
         """Create the persistent pool (idempotent)."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ProcessPoolExecutor(max_workers=self.workers)
+        self._checkout_pool()
 
     def close(self) -> None:
         """Shut the persistent pool down (idempotent)."""
@@ -208,28 +220,17 @@ class ProcessExecutor:
             self._recycle_pool(pool)
             return CellFailure(cell=cell, kind="broken-pool",
                                error=str(exc) or "pool shut down", exc=exc)
-        try:
-            return future.result(timeout=timeout)
-        except FutureTimeoutError:
-            future.cancel()
+        outcome = _collect(cell, future, timeout)
+        if isinstance(outcome, CellFailure) and outcome.kind != "exception":
             self._recycle_pool(pool)
-            return CellFailure(
-                cell=cell, kind="timeout",
-                error=f"cell exceeded {timeout}s wall-clock budget",
-            )
-        except BrokenProcessPool as exc:
-            self._recycle_pool(pool)
-            return CellFailure(cell=cell, kind="broken-pool",
-                               error=str(exc) or "worker process died",
-                               exc=exc)
-        except Exception as exc:
-            return CellFailure(cell=cell, kind="exception",
-                               error=f"{type(exc).__name__}: {exc}", exc=exc)
+        return outcome
 
-    def run_cells(self, cells: Sequence[CellSpec], fn: CellFn, *,
+    def run_cells(self, cells: Iterable[CellSpec], fn: CellFn, *,
                   timeout: Optional[float] = None,
                   on_submit: SubmitHook = None) -> Iterator[Tuple[CellSpec, Outcome]]:
-        """Yield ``(cell, RunResult | CellFailure)`` in submission order."""
+        """Yield ``(cell, RunResult | CellFailure)`` in submission order
+        (*cells* is materialised first: every cell is submitted eagerly)."""
+        cells = list(cells)
         if not cells:
             return
         max_workers = min(self.workers, len(cells))
@@ -239,25 +240,10 @@ class ProcessExecutor:
                 if on_submit is not None:
                     on_submit(cell)
                 futures.append(pool.submit(fn, cell))
+            # A dead pool reports this and every remaining cell as
+            # broken (their futures raise the same).
             for cell, future in zip(cells, futures):
-                try:
-                    yield cell, future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    yield cell, CellFailure(
-                        cell=cell, kind="timeout",
-                        error=f"cell exceeded {timeout}s wall-clock budget",
-                    )
-                except BrokenProcessPool as exc:
-                    # The pool is dead; report this and every remaining
-                    # cell as broken (their futures would raise the same).
-                    yield cell, CellFailure(cell=cell, kind="broken-pool",
-                                            error=str(exc) or "worker process died",
-                                            exc=exc)
-                except Exception as exc:
-                    yield cell, CellFailure(cell=cell, kind="exception",
-                                            error=f"{type(exc).__name__}: {exc}",
-                                            exc=exc)
+                yield cell, _collect(cell, future, timeout)
 
 
 _EXECUTORS = {
@@ -274,6 +260,4 @@ def get_executor(name: str, workers: Optional[int] = None):
         raise ConfigError(
             f"unknown executor {name!r}; choose from {sorted(_EXECUTORS)}"
         ) from None
-    if factory is ProcessExecutor:
-        return ProcessExecutor(workers=workers)
-    return factory()
+    return factory(workers=workers) if factory is ProcessExecutor else factory()

@@ -7,9 +7,10 @@ callbacks with one renderer.
 Determinism note: the simulator itself never reads wall-clock time
 (lint rule SL001). The reporter's ETA is the one place in the tree where
 wall time is *useful* — and it is strictly observational, written to
-stderr, never into results. The clock is therefore injected:
-``time.perf_counter`` is referenced once below as the default, and tests
-substitute a fake clock, so no simulation path ever calls it.
+stderr, never into results. The clock is therefore injected by the
+caller: the command-line entry points pass :data:`WALL_CLOCK` and tests
+a fake clock, so no library path — the shared cell-execution core and
+the studies on it included — ever reaches ``time.perf_counter``.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import sys
 import time
 from typing import Callable, Optional, TextIO
 
-#: Default clock (referenced, not called, at import time; the reporter is
-#: the only wall-clock consumer in the tree and sits outside all
-#: simulation and result paths).
+#: The clock command-line entry points inject (referenced, not called,
+#: at import time; the reporter is the only wall-clock consumer in the
+#: tree and sits outside all simulation and result paths).
 WALL_CLOCK: Callable[[], float] = time.perf_counter
 
 
@@ -34,16 +35,15 @@ class ProgressReporter:
     otherwise.
     """
 
-    def __init__(self, total: int, *, label: str = "cells",
-                 stream: Optional[TextIO] = None,
-                 clock: Optional[Callable[[], float]] = None):
+    def __init__(self, total: int, *, clock: Callable[[], float],
+                 label: str = "cells", stream: Optional[TextIO] = None):
         self.total = max(0, int(total))
         self.label = label
         self.done = 0
         self.cached = 0
         self.failed = 0
         self._stream = stream if stream is not None else sys.stderr
-        self._clock = clock if clock is not None else WALL_CLOCK
+        self._clock = clock
         self._started_at: Optional[float] = None
         self._tty = bool(getattr(self._stream, "isatty", lambda: False)())
 

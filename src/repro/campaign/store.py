@@ -32,6 +32,7 @@ except ImportError:             # pragma: no cover - non-POSIX platforms
 
 from ..errors import ConfigError
 from ..jvm import RunResult
+from ..studies import grid_rows, write_grid_csv
 from .cells import CellSpec, decode_run, encode_run
 
 MANIFEST_NAME = "manifest.json"
@@ -294,30 +295,12 @@ class ResultStore:
         """Flat rows over completed records, in
         :data:`repro.studies.GRID_CSV_COLUMNS` order and the same sort
         order as :meth:`repro.studies.GridResult.to_rows`."""
-        cells_runs = list(self.iter_ok())
-        cells_runs.sort(key=lambda cr: (cr[0].benchmark, cr[0].gc, cr[0].heap,
-                                        cr[0].young or 0.0, cr[0].seed))
-        rows = []
-        for cell, run in cells_runs:
-            rows.append([
-                cell.benchmark, cell.gc, cell.heap, cell.young, cell.seed,
-                run.execution_time, run.final_iteration_time, run.crashed,
-                run.gc_log.count, run.gc_log.full_count,
-                run.gc_log.total_pause, run.gc_log.max_pause,
-            ])
-        return rows
+        return grid_rows(self.iter_ok())
 
     def to_csv(self, path) -> None:
         """Export completed records as CSV, byte-compatible with
         :meth:`repro.studies.GridResult.to_csv` for the same cells."""
-        import csv
-
-        from ..studies import GRID_CSV_COLUMNS
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(GRID_CSV_COLUMNS)
-            writer.writerows(self.to_rows())
+        write_grid_csv(path, self.to_rows())
 
 
 @dataclass

@@ -120,9 +120,10 @@ def dacapo_main(argv: Optional[List[str]] = None) -> int:
     reporter = None
     on_iteration = None
     if args.progress:
-        from .campaign.progress import ProgressReporter
+        from .campaign.progress import WALL_CLOCK, ProgressReporter
 
-        reporter = ProgressReporter(args.iterations, label="iterations")
+        reporter = ProgressReporter(args.iterations, label="iterations",
+                                    clock=WALL_CLOCK)
         reporter.start()
         on_iteration = lambda _i, _t: reporter.advance()  # noqa: E731
     result = jvm.run(

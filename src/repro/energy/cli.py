@@ -10,7 +10,7 @@
 
 ``run`` prints the Pareto table (frontier rows starred) and (with
 ``--out``) writes the canonical study JSON — byte-identical across
-reruns of the same config, which the CI ``energy-smoke`` job enforces
+reruns of the same config, which the CI ``study-smoke`` job enforces
 with ``cmp``. Cell cache accounting goes to stdout only, never into
 the JSON.
 """

@@ -4,7 +4,7 @@
 campaign cells (served from a shared
 :class:`~repro.campaign.store.ResultStore` when given one — a cached
 rerun must produce byte-identical JSON, enforced by the CI
-``energy-smoke`` job with ``cmp``) and reports, per combination:
+``study-smoke`` job with ``cmp``) and reports, per combination:
 
 * mean execution time and pooled nearest-rank pause percentiles;
 * the folded :class:`~repro.energy.model.EnergyAccount` — exact
@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.lbo import nearest_rank
 from ..analysis.report import render_table
-from ..errors import ConfigError
+from ..errors import ConfigError, require_axes
 from ..gc.registry import resolve_gc
 from ..machine.topology import resolve_topology
 from ..units import GB, parse_size
@@ -57,16 +57,9 @@ class EnergyStudyConfig:
     system_gc: bool = False
 
     def __post_init__(self) -> None:
-        if not self.benchmarks:
-            raise ConfigError("an energy study needs at least one benchmark")
-        if not self.gcs:
-            raise ConfigError("an energy study needs at least one collector")
-        if not self.placements:
-            raise ConfigError("an energy study needs at least one placement")
-        if not self.topologies:
-            raise ConfigError("an energy study needs at least one topology")
-        if not self.seeds:
-            raise ConfigError("an energy study needs at least one seed")
+        require_axes("an energy study", benchmark=self.benchmarks,
+                     collector=self.gcs, placement=self.placements,
+                     topology=self.topologies, seed=self.seeds)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
         object.__setattr__(self, "benchmarks",
@@ -315,10 +308,14 @@ def run_energy_study(config: EnergyStudyConfig,
     Energy is folded per combination by merging per-run integer
     accounts, so any partition of the same cells — per-seed shards, a
     ``merge_stores`` result, a cached rerun — yields identical totals.
+    A quarantined cell raises :class:`~repro.errors.QuarantinedCellError`.
     """
-    from ..analysis.lbo import _run_cached
+    from ..campaign.runner import execute_cells
 
-    result = EnergyStudyResult(config=config)
+    done = execute_cells(config.cells(), store=store)
+    runs = done.complete("energy study")
+    result = EnergyStudyResult(config=config, cache_hits=done.stats.cached,
+                               cells_total=done.stats.total)
     for topology in config.topologies:
         for gc in config.gcs:
             for placement in config.placements:
@@ -328,11 +325,8 @@ def run_energy_study(config: EnergyStudyConfig,
                 pooled: List[float] = []
                 for benchmark in config.benchmarks:
                     for seed in config.seeds:
-                        cell = config.cell(topology, gc, placement,
-                                           benchmark, seed)
-                        run, hit = _run_cached(cell, store)
-                        result.cells_total += 1
-                        result.cache_hits += int(hit)
+                        run = runs[config.cell(topology, gc, placement,
+                                               benchmark, seed).digest()]
                         if run.crashed:
                             combo.crashed_cells += 1
                             continue

@@ -16,6 +16,15 @@ class ConfigError(ReproError):
     """An invalid configuration value was supplied (bad flag, bad size...)."""
 
 
+def require_axes(study: str, **axes) -> None:
+    """:class:`ConfigError` naming the first empty axis of *study*
+    (``heap_size=()`` reads "... needs at least one heap size")."""
+    for noun, values in axes.items():
+        if not values:
+            raise ConfigError(
+                f"{study} needs at least one {noun.replace('_', ' ')}")
+
+
 class HeapError(ReproError):
     """Base class for heap-related failures."""
 
@@ -71,6 +80,16 @@ class ProtocolError(ReproError):
     def __init__(self, message: str, code: int = 400):
         self.code = int(code)
         super().__init__(message)
+
+
+class QuarantinedCellError(ReproError):
+    """Cells whose worker failed on every retry (*failures*, the
+    quarantined ``CellFailure`` records): a study cannot fold them."""
+
+    def __init__(self, what: str, failures):
+        self.failures = list(failures)
+        super().__init__(f"{what}: {len(self.failures)} cell(s) quarantined: "
+                         + "; ".join(f.format() for f in self.failures))
 
 
 class BenchmarkCrash(ReproError):

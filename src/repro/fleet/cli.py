@@ -9,7 +9,7 @@
 
 ``run`` prints the comparison tables and (with ``--out``) writes the
 canonical study JSON — byte-identical across reruns of the same seed,
-which the CI fleet-smoke job enforces with ``cmp``. Calibration cache
+which the CI study-smoke job enforces with ``cmp``. Calibration cache
 accounting goes to stdout only, never into the JSON.
 """
 

@@ -32,7 +32,8 @@ from ..analysis.ascii_plot import scatter_plot
 from ..analysis.latency import LatencySummary
 from ..analysis.report import render_table
 from ..campaign.cells import CellSpec
-from ..errors import ConfigError
+from ..campaign.runner import execute_cells
+from ..errors import ConfigError, require_axes
 from ..gc.registry import resolve_gc
 from ..seeding import derive_seed
 from ..telemetry.tracer import NULL_TRACER
@@ -75,10 +76,8 @@ class FleetStudyConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.gcs:
-            raise ConfigError("a fleet study needs at least one collector")
-        if not self.policies:
-            raise ConfigError("a fleet study needs at least one policy")
+        require_axes("a fleet study", collector=self.gcs,
+                     policy=self.policies)
         if self.n_nodes < 1:
             raise ConfigError("n_nodes must be >= 1")
         if self.duration <= 0 or self.tick <= 0:
@@ -142,18 +141,24 @@ def calibrate_collector(config: FleetStudyConfig, gc: str,
     into the store so the next study (or the CI smoke's second pass) is
     a pure cache run.
     """
-    cell = config.calibration_cell(gc)
-    if store is not None:
-        cached = store.get_run(cell.digest())
-        if cached is not None:
-            return calibrate(cached, config.calibration_ops), True
-    result = run_calibration_cell(cell)
-    if result.crashed:
-        raise ConfigError(
-            f"calibration run for {gc} crashed: {result.crash_reason}")
-    if store is not None:
-        store.record_ok(cell, result)
-    return calibrate(result, config.calibration_ops), False
+    [cal], stats = _calibrations(config, [gc], store)
+    return cal, stats.cached == 1
+
+
+def _calibrations(config: FleetStudyConfig, gcs, store):
+    """Calibrations for *gcs* through the campaign core, plus its stats; a
+    crashed run, fresh or cached, cannot calibrate (:class:`ConfigError`)."""
+    cells = [config.calibration_cell(gc) for gc in gcs]
+    done = execute_cells(cells, run_calibration_cell, store=store)
+    runs = done.complete("fleet calibration")
+    cals = []
+    for gc, cell in zip(gcs, cells):
+        run = runs[cell.digest()]
+        if run.crashed:
+            raise ConfigError(
+                f"calibration run for {gc} crashed: {run.crash_reason}")
+        cals.append(calibrate(run, config.calibration_ops))
+    return cals, done.stats
 
 
 # ----------------------------------------------------------------------
@@ -419,11 +424,10 @@ class FleetStudyResult:
 def run_fleet_study(config: FleetStudyConfig, store=None,
                     tracer=NULL_TRACER) -> FleetStudyResult:
     """Run the full policy x collector matrix over one diurnal trace."""
-    result = FleetStudyResult(config=config)
-    for gc in config.gcs:
-        cal, hit = calibrate_collector(config, gc, store=store)
-        result.calibration_total += 1
-        result.calibration_hits += int(hit)
+    cals, stats = _calibrations(config, config.gcs, store)
+    result = FleetStudyResult(config=config, calibration_hits=stats.cached,
+                              calibration_total=stats.total)
+    for gc, cal in zip(config.gcs, cals):
         for policy in config.policies:
             result.outcomes.append(
                 simulate_policy(config, gc, policy, cal, tracer=tracer))

@@ -55,10 +55,10 @@ class G1GC(Collector):
         super().__init__(*args, **kwargs)
         self.pause_target = float(pause_target)
         self.regions = RegionTable.for_heap(self.heap.config.heap_bytes)
-        # G1 always maintains per-region remembered sets (kept in sync
-        # with the card table by the heap — pure integer bookkeeping);
-        # they *price* the remark scan only under remset fidelity.
-        if self.heap.remset is None:
+        # Per-region remembered sets (kept in sync with the card table
+        # by the heap) price the remark scan under remset fidelity and
+        # nothing else, so the coarse path does not maintain them.
+        if self.remset_fidelity and self.heap.remset is None:
             self.heap.attach_remset(RememberedSet(self.regions))
         self.conc_threads = self.costs.default_concurrent_gc_threads()
         self._state = "idle"       # idle | marking

@@ -110,13 +110,20 @@ class RememberedSet:
 
     def record(self, n_cards: int, occupied_regions: int) -> None:
         """Distribute *n_cards* new remembered cards over the occupied
-        region prefix (round-robin from a persistent cursor)."""
+        region prefix, round-robin from a persistent cursor (in closed
+        form: full rounds to every region, the rest from the cursor on)."""
         if n_cards <= 0:
             return
-        span = max(1, min(occupied_regions, len(self.per_region)))
-        for _ in range(n_cards):
-            self.per_region[self._cursor % span] += 1
-            self._cursor += 1
+        per_region = self.per_region
+        span = max(1, min(occupied_regions, len(per_region)))
+        rounds, rest = divmod(n_cards, span)
+        if rounds:
+            for i in range(span):
+                per_region[i] += rounds
+        start = self._cursor % span
+        for i in range(start, start + rest):
+            per_region[i % span] += 1
+        self._cursor += n_cards
 
     def evacuate_region(self, src: int, dst: int) -> int:
         """Move every remembered card from region *src* to *dst*

@@ -129,26 +129,11 @@ class GridResult:
 
     def to_rows(self) -> List[List]:
         """Flat result rows (column order: :data:`GRID_CSV_COLUMNS`)."""
-        rows = []
-        for key in sorted(self.runs, key=lambda k: (k.benchmark, k.gc, k.heap,
-                                                    k.young or 0.0, k.seed)):
-            run = self.runs[key]
-            rows.append([
-                key.benchmark, key.gc, key.heap, key.young, key.seed,
-                run.execution_time, run.final_iteration_time, run.crashed,
-                run.gc_log.count, run.gc_log.full_count,
-                run.gc_log.total_pause, run.gc_log.max_pause,
-            ])
-        return rows
+        return grid_rows(self.runs.items())
 
     def to_csv(self, path) -> None:
         """Write the grid as a CSV file (stdlib csv; no pandas needed)."""
-        import csv
-
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(GRID_CSV_COLUMNS)
-            writer.writerows(self.to_rows())
+        write_grid_csv(path, self.to_rows())
 
     def pause_summary(self) -> Dict[str, Dict[str, float]]:
         """Per-collector pause aggregates across the whole grid."""
@@ -170,6 +155,28 @@ GRID_CSV_COLUMNS = [
     "execution_time", "final_iteration_time", "crashed",
     "pauses", "full_pauses", "total_pause", "max_pause",
 ]
+
+
+def grid_rows(keyed_runs) -> List[List]:
+    """:data:`GRID_CSV_COLUMNS` rows for ``(key, run)`` pairs, sorted by
+    axes; a key is a :class:`CellKey` or a cell with the same fields."""
+    return [[k.benchmark, k.gc, k.heap, k.young, k.seed,
+             run.execution_time, run.final_iteration_time, run.crashed,
+             run.gc_log.count, run.gc_log.full_count,
+             run.gc_log.total_pause, run.gc_log.max_pause]
+            for k, run in sorted(keyed_runs, key=lambda kr: (
+                kr[0].benchmark, kr[0].gc, kr[0].heap, kr[0].young or 0.0,
+                kr[0].seed))]
+
+
+def write_grid_csv(path, rows) -> None:
+    """Write *rows* under the :data:`GRID_CSV_COLUMNS` header."""
+    import csv
+
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(GRID_CSV_COLUMNS)
+        writer.writerows(rows)
 
 
 def run_grid(spec: GridSpec, progress: Optional[Callable[[CellKey], None]] = None,

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.errors import ConfigError
+from repro.analysis.lbo import LBOConfig, run_lbo_study
+from repro.errors import ConfigError, QuarantinedCellError
 from repro.campaign import (
     CampaignSpec,
     CellSpec,
@@ -15,6 +16,7 @@ from repro.campaign import (
     decode_run,
     default_workers,
     encode_run,
+    execute_cells,
     get_executor,
     run_campaign,
     run_cell,
@@ -347,6 +349,111 @@ class TestRunCampaign:
         result.to_csv(tmp_path / "c.csv")
         lines = (tmp_path / "c.csv").read_text().splitlines()
         assert len(lines) == 1 + 2 and lines[0].startswith("benchmark,")
+
+
+# ----------------------------------------------------------------------
+# execute_cells: the shared cache/execute/retry core
+# ----------------------------------------------------------------------
+
+
+class RecordingStore(ResultStore):
+    """A store that logs every lookup and every append, in order."""
+
+    def __init__(self, root):
+        super().__init__(root)
+        self.events = []
+
+    def get_run(self, digest):
+        run = super().get_run(digest)
+        self.events.append(("hit" if run is not None else "miss", digest))
+        return run
+
+    def record_ok(self, cell, result):
+        self.events.append(("ok", cell.digest()))
+        super().record_ok(cell, result)
+
+
+def assert_miss_then_record(events):
+    """Every missed lookup is followed directly by that digest's append."""
+    misses = [i for i, (kind, _) in enumerate(events) if kind == "miss"]
+    assert misses
+    for i in misses:
+        assert events[i + 1] == ("ok", events[i][1])
+
+
+class TestExecuteCells:
+    def test_serial_campaign_records_each_miss_before_next_lookup(self, tmp_path):
+        store = RecordingStore(tmp_path / "s")
+        cell = CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 0,
+                                  iterations=2)
+        store.record_ok(cell, run_cell(cell))        # one hit, two misses
+        store.events.clear()
+        extra = GridSpec(benchmarks=["lusearch"], gcs=["ParallelOld"],
+                         heaps=["1g"], youngs=["256m"], seeds=[0],
+                         iterations=2)
+        run_campaign(CampaignSpec("x", [TINY, TINY, extra]), store=store,
+                     executor="serial")
+        assert [kind for kind, _ in store.events] == [
+            "hit", "miss", "ok", "miss", "ok"]
+        assert_miss_then_record(store.events)
+
+    def test_lbo_study_records_each_miss_before_next_lookup(self, tmp_path):
+        store = RecordingStore(tmp_path / "s")
+        config = LBOConfig(benchmarks=("batik",), gcs=("ZGC", "G1GC"),
+                           heaps=("1g",), seeds=(1,), iterations=2)
+        result = run_lbo_study(config, store=store)
+        assert (result.cache_hits, result.cells_total) == (0, 3)
+        assert len(store.events) == 6
+        assert_miss_then_record(store.events)
+
+    def test_always_raising_cell_is_retried_then_quarantined(self, tmp_path):
+        calls = []
+
+        def always_raises(cell):
+            calls.append(cell)
+            raise RuntimeError(f"worker broke on {cell.benchmark}")
+
+        store = ResultStore(tmp_path / "s")
+        cells = [CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 0,
+                                    iterations=2)]
+        done = execute_cells(cells, always_raises, store=store, retries=2)
+        assert len(calls) == 3                      # 1 try + 2 retries
+        assert (done.stats.retried, done.stats.quarantined) == (2, 1)
+        assert done.runs == {}
+        assert store.failed_digests() == [cells[0].digest()]
+        assert store.get(cells[0].digest())["attempts"] == 3
+        with pytest.raises(QuarantinedCellError, match="worker broke") as err:
+            done.complete("test study")
+        assert err.value.failures == done.quarantined
+
+    def test_study_raises_typed_error_on_quarantine(self, tmp_path):
+        store = ResultStore(tmp_path / "s")
+        config = LBOConfig(benchmarks=("definitely-not-a-benchmark",),
+                           gcs=("ZGC",), heaps=("1g",), seeds=(1,),
+                           iterations=1)
+        with pytest.raises(QuarantinedCellError,
+                           match="LBO study: 2 cell") as err:
+            run_lbo_study(config, store=store)
+        assert len(err.value.failures) == 2
+        assert len(store.failed_digests()) == 2
+
+    def test_duplicates_run_once(self):
+        cell = CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 0,
+                                  iterations=2)
+        done = execute_cells([cell, cell])
+        assert (done.stats.total, done.stats.simulated) == (1, 1)
+        assert list(done.runs) == [cell.digest()]
+
+    def test_process_executor_takes_the_lazy_misses(self, tmp_path):
+        cells = [CellSpec.from_axes(b, gc, "1g", "256m", 0, iterations=2)
+                 for b in ("lusearch", "batik") for gc in ("Serial", "G1")]
+        serial = execute_cells(cells)
+        store = ResultStore(tmp_path / "s")
+        store.record_ok(cells[0], serial.runs[cells[0].digest()])
+        fanned = execute_cells(cells, store=store,
+                               executor=ProcessExecutor(workers=2))
+        assert (fanned.stats.cached, fanned.stats.simulated) == (1, 3)
+        assert fanned.runs == serial.runs
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """repro.energy: placement policies, the joules ledger, the Pareto study.
 
 The micro-grid used by ``TestStudy`` (1 collector x 2 placements x
-asym-hybrid x 2 seeds on xalan) is a subset of the CI ``energy-smoke``
+asym-hybrid x 2 seeds on xalan) is a subset of the CI ``study-smoke``
 recipe, so these tests and the workflow enforce the same contract:
 100% cache hits on a rerun, byte-identical JSON, and the qualitative
 ordering P-pinned tails < E-pinned tails while E-pinned GC joules <
 P-pinned GC joules.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -212,7 +213,7 @@ class TestAccountRun:
         assert e_account.uj("stw", "P") == 0
 
     def test_pareto_orderings(self, pinned):
-        """The CI energy-smoke assertions, in-suite: P-pinning buys the
+        """The CI study-smoke assertions, in-suite: P-pinning buys the
         shorter tail, E-pinning the lower GC energy."""
         (p_res, p_account), (e_res, e_account) = pinned
         assert max(x.duration for x in p_res.gc_log.pauses) < \
@@ -318,6 +319,20 @@ class TestStudy:
 
     def test_render_stars_frontier(self, cold):
         assert "*" in cold.render()
+
+    def test_ci_micro_grid_json_pinned(self):
+        """sha256 of the CI micro-grid's study JSON (3 collectors x 3
+        placements x 2 seeds), pinned from the study loop that preceded
+        the shared cell-execution core: it must not change a byte."""
+        config = EnergyStudyConfig(
+            benchmarks=("xalan",), gcs=("ParallelOld", "CMS", "G1"),
+            placements=("p-cores", "e-cores", "adaptive"),
+            topologies=("asym-hybrid",), heap="8g", seeds=(1, 2),
+            iterations=4)
+        result = run_energy_study(config)
+        assert result.cells_total == 18
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == (
+            "9ee41ee75b655e6e461f8b783e02e66596ebe6557c5bb14fc9e8a63dc18337ff")
 
     def test_energy_folds_exactly_under_merge_stores(self, tmp_path, cold):
         """Shard the grid per-seed, merge the shards, and re-run against

@@ -1,5 +1,6 @@
 """Fleet subsystem: nodes, routing, scaling, and the study deliverable."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -14,6 +15,7 @@ from repro.fleet import (AutoscalerConfig, DiurnalTraffic, FleetBalancer,
                          calibrate_collector, make_policy, run_fleet_study,
                          split_ops)
 from repro.fleet.study import PolicyOutcome
+from repro.units import GB, MB
 
 
 def synthetic_cal(**kw):
@@ -72,6 +74,19 @@ class TestCalibration:
         assert cal.full_seconds_per_byte > 0
         assert 0 < cal.full_residual < 1
         assert len(cal.young_pauses) == len(cal.promoted) > 0
+
+    def test_crashed_calibration_rejected_fresh_and_cached(self, tmp_path):
+        """A crashed calibration run cannot calibrate a node, whether it
+        was just simulated or comes back from the store."""
+        config = study_config(calibration_heap=1 * GB,
+                              calibration_young=256 * MB,
+                              calibration_duration=60.0)
+        store = ResultStore(tmp_path / "s")
+        with pytest.raises(ConfigError, match="crashed"):
+            calibrate_collector(config, "ParallelOld", store=store)
+        assert len(store.ok_digests()) == 1         # the crash is cached
+        with pytest.raises(ConfigError, match="crashed"):
+            run_fleet_study(config, store=store)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -342,6 +357,20 @@ class TestFleetStudy:
         monk = study.outcome("ParallelOld", "monk")
         assert monk.forced_gcs > 0
         assert monk.scale_outs < rr.scale_outs
+
+    def test_ci_micro_study_json_pinned(self):
+        """sha256 of the CI micro-study's JSON, pinned from the study
+        loop that preceded the shared cell-execution core: running the
+        calibrations through ``execute_cells`` must not change a byte."""
+        config = FleetStudyConfig(
+            gcs=("ParallelOld", "CMS"), policies=("round-robin", "monk"),
+            n_nodes=8, duration=3600.0,
+            traffic=TrafficConfig(users=300_000, period=3600.0),
+            calibration_duration=900.0, seed=7)
+        result = run_fleet_study(config)
+        assert result.calibration_total == 2
+        assert hashlib.sha256(result.to_json().encode()).hexdigest() == (
+            "1addce6bb6e606d218679ef7abbb9420da79bdaa7d886b576d693c72faaccc78")
 
     def test_study_is_deterministic(self, study, study_store):
         # Second run hits the calibration cache and must reproduce the

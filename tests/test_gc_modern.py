@@ -73,12 +73,34 @@ class TestRegistry:
         assert not jvm.collector.remset_fidelity
         assert not jvm.heap.card_fidelity
 
+    def test_g1_keeps_a_remset_only_under_fidelity(self):
+        """Nothing reads G1's remembered set on the coarse path, so only
+        a fidelity run maintains one."""
+        coarse = JVM(JVMConfig(gc="G1", heap=4 * GB, seed=0))
+        assert coarse.heap.remset is None
+        fine = JVM(JVMConfig(gc="G1", heap=4 * GB, seed=0,
+                             remset_fidelity=True))
+        assert fine.heap.remset is not None
+
 
 class TestAuditedRuns:
     @pytest.mark.parametrize("gc", ["ZGC", "ShenandoahGC", "EpsilonGC"])
     def test_audit_clean_at_comfortable_heap(self, gc):
         result, _, auditor = run_jvm(gc, audit=True)
         assert not result.crashed
+        auditor.assert_clean()
+
+    def test_g1_fidelity_run_keeps_remset_in_sync(self):
+        """The auditor's heap pass includes the remset/card-table sync
+        rule; a G1 fidelity run through old-gen churn stays clean."""
+        jvm = JVM(JVMConfig(gc="G1", heap=2 * GB, seed=1,
+                            remset_fidelity=True))
+        auditor = InvariantAuditor().attach(jvm)
+        result = jvm.run(get_benchmark("h2"), iterations=3)
+        assert not result.crashed
+        assert jvm.heap.remset._cursor > 0         # cards were recorded
+        assert jvm.heap.remset.total_cards == (
+            jvm.heap.card_table.dirty_cards_count)
         auditor.assert_clean()
 
     def test_audit_clean_under_stall_pressure(self):

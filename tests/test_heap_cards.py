@@ -113,6 +113,26 @@ class TestRememberedSet:
         rs.record(1, 3)
         assert rs.per_region[0] == 1  # cursor restarted at region 0
 
+    @given(st.sampled_from([64 * MB, 1 * GB, 8 * GB]),
+           st.lists(st.tuples(st.integers(-3, 20_000), st.integers(0, 600)),
+                    min_size=1, max_size=30))
+    @settings(max_examples=150, deadline=None)
+    def test_record_matches_per_card_reference(self, heap_bytes, records):
+        """The closed-form ``record`` deals cards exactly as dealing them
+        one at a time round-robin from the cursor does (that loop is the
+        reference), including a prefix clamped to the region count."""
+        rs = make_remset(heap_bytes)
+        ref = [0] * rs.regions.total_regions
+        cursor = 0
+        for n_cards, occupied in records:
+            rs.record(n_cards, occupied)
+            span = max(1, min(occupied, len(ref)))
+            for _ in range(max(0, n_cards)):
+                ref[cursor % span] += 1
+                cursor += 1
+            assert rs.per_region == ref
+            assert rs._cursor == cursor
+
     @given(st.lists(st.tuples(st.integers(0, 500), st.integers(1, 64)),
                     min_size=1, max_size=25),
            st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)),

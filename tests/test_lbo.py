@@ -2,10 +2,11 @@
 
 The micro-grid used here (2 collectors x 3 heaps x 2 seeds on xalan,
 18 cells with the implicit EpsilonGC baseline) is the same recipe the
-CI ``lbo-smoke`` job runs, so these tests and the workflow enforce the
+CI ``study-smoke`` job runs, so these tests and the workflow enforce the
 same contract: 100% cache hits on a rerun and byte-identical JSON.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -90,6 +91,13 @@ class TestStudy:
         warm = run_lbo_study(LBOConfig(**MICRO), store=store)
         assert warm.cache_hits == warm.cells_total == 18
         assert warm.to_json() == cold.to_json()
+
+    def test_study_json_pinned(self, cold):
+        """sha256 of the CI micro-grid's study JSON, pinned from the
+        study loop that preceded the shared cell-execution core: moving
+        onto ``execute_cells`` must not change a byte."""
+        assert hashlib.sha256(cold.to_json().encode()).hexdigest() == (
+            "f6756591ca3a6eb148f760d599dd4075939309c46ac94153d8ea1e0db4e9daaa")
 
     def test_cache_accounting_not_in_json(self, cold):
         payload = json.loads(cold.to_json())
