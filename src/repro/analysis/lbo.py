@@ -76,19 +76,21 @@ class LBOConfig:
                      collector=self.gcs, heap_size=self.heaps, seed=self.seeds)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
-        gcs = tuple(resolve_gc(g).value for g in self.gcs)
+        # Normalised, then deduplicated: "1g"/"1024m" or G1/G1GC are one
+        # axis value, and a repeated seed must not weigh twice in a mean.
+        gcs = tuple(dict.fromkeys(resolve_gc(g).value for g in self.gcs))
         if IDEAL_GC in gcs:
             raise ConfigError(
                 f"{IDEAL_GC} is the implicit ideal baseline; "
                 "it cannot also be a studied collector")
         object.__setattr__(self, "benchmarks",
-                           tuple(str(b) for b in self.benchmarks))
+                           tuple(dict.fromkeys(str(b) for b in self.benchmarks)))
         object.__setattr__(self, "gcs", gcs)
         object.__setattr__(
             self, "heaps",
-            tuple(sorted(float(parse_size(h)) for h in self.heaps)))
+            tuple(sorted({float(parse_size(h)) for h in self.heaps})))
         object.__setattr__(self, "seeds",
-                           tuple(sorted(int(s) for s in self.seeds)))
+                           tuple(sorted({int(s) for s in self.seeds})))
 
     def cell(self, gc: str, benchmark: str, heap: float,
              seed: int) -> "CellSpec":

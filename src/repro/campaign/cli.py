@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
 from ..analysis.report import render_campaign_summary, render_table
-from ..errors import ReproError
+from ..cli import FLAGS, add_flags, run_command
+from ..errors import ConfigError
 from ..studies import GridSpec
 from .progress import WALL_CLOCK, ProgressReporter
 from .runner import CampaignResult, run_campaign
@@ -33,37 +33,18 @@ from .spec import CampaignSpec
 from .store import ResultStore, store_status
 
 
-def _add_grid_args(parser: argparse.ArgumentParser) -> None:
+def add_grid_args(parser: argparse.ArgumentParser) -> None:
+    """The grid axes ``campaign run`` and ``repro-cluster submit`` take."""
     grid = parser.add_argument_group("grid axes")
-    grid.add_argument("--benchmarks", nargs="+", required=True,
-                      help="DaCapo benchmark names")
-    grid.add_argument("--gcs", nargs="+", default=["ParallelOld"],
-                      help="collectors (Serial|ParNew|Parallel|ParallelOld|CMS|G1)")
-    grid.add_argument("--heaps", nargs="+", default=["16g"],
-                      help="heap sizes (-Xmx), e.g. 16g 64g")
-    grid.add_argument("--youngs", nargs="+", default=None,
-                      help="young sizes (-Xmn); omit for the default fraction")
-    grid.add_argument("--seeds", nargs="+", type=int, default=[0],
-                      help="simulation seeds")
-    grid.add_argument("--iterations", type=int, default=10,
-                      help="DaCapo iterations per cell")
-    grid.add_argument("--no-system-gc", action="store_true",
-                      help="disable the forced full GC between iterations")
-    grid.add_argument("--no-tlab", action="store_true", help="disable TLABs")
+    FLAGS["benchmarks"](grid, required=True)
+    add_flags(grid, "gcs", "heaps", "youngs", "seeds")
+    FLAGS["iterations"](grid, short=False, help="DaCapo iterations per cell")
+    add_flags(grid, "no-system-gc", "no-tlab")
 
 
 def _add_exec_args(parser: argparse.ArgumentParser) -> None:
     ex = parser.add_argument_group("execution")
-    ex.add_argument("--executor", choices=["serial", "process"], default="process",
-                    help="where cells run (default: process fan-out)")
-    ex.add_argument("--workers", type=int, default=None,
-                    help="process-pool size (default: one per core)")
-    ex.add_argument("--timeout", type=float, default=None,
-                    help="per-cell wall-clock budget in seconds")
-    ex.add_argument("--retries", type=int, default=2,
-                    help="retries before a failing cell is quarantined")
-    ex.add_argument("--progress", action="store_true",
-                    help="live progress (done/cached/failed, ETA) on stderr")
+    add_flags(ex, "executor", "workers", "timeout", "retries", "progress")
     ex.add_argument("--csv", default=None, help="export all cells to a CSV file")
     ex.add_argument("--trace-dir", default=None, metavar="DIR",
                     help="write one telemetry trace per simulated cell to "
@@ -71,8 +52,9 @@ def _add_exec_args(parser: argparse.ArgumentParser) -> None:
                          "`repro-trace diff`)")
 
 
-def _spec_from_args(args) -> CampaignSpec:
-    grid = GridSpec(
+def grid_from_args(args) -> GridSpec:
+    """The :class:`GridSpec` the :func:`add_grid_args` flags describe."""
+    return GridSpec(
         benchmarks=args.benchmarks,
         gcs=args.gcs,
         heaps=args.heaps,
@@ -82,7 +64,6 @@ def _spec_from_args(args) -> CampaignSpec:
         system_gc=not args.no_system_gc,
         tlab_enabled=not args.no_tlab,
     )
-    return CampaignSpec(name=args.name, grids=[grid])
 
 
 def _execute(spec: CampaignSpec, args, store: Optional[ResultStore]) -> int:
@@ -108,7 +89,7 @@ def _report(result: CampaignResult, csv_path: Optional[str] = None) -> None:
 
 def run_cmd(args) -> int:
     """``repro-campaign run``: execute (or resume) a campaign."""
-    spec = _spec_from_args(args)
+    spec = CampaignSpec(name=args.name, grids=[grid_from_args(args)])
     store = ResultStore(args.store) if args.store else None
     return _execute(spec, args, store)
 
@@ -118,17 +99,15 @@ def resume_cmd(args) -> int:
     store = ResultStore(args.store)
     campaigns = store.read_manifest().get("campaigns", [])
     if not campaigns:
-        print(f"no campaign recorded in {store.root}; run `repro-campaign run` first",
-              file=sys.stderr)
-        return 2
+        raise ConfigError(f"no campaign recorded in {store.root}; "
+                          "run `repro-campaign run` first")
     entry = campaigns[-1]
     if args.name is not None:
         matches = [c for c in campaigns if c["name"] == args.name]
         if not matches:
             known = ", ".join(sorted({c["name"] for c in campaigns}))
-            print(f"no campaign named {args.name!r} in {store.root} (known: {known})",
-                  file=sys.stderr)
-            return 2
+            raise ConfigError(f"no campaign named {args.name!r} in "
+                              f"{store.root} (known: {known})")
         entry = matches[-1]
     spec = CampaignSpec.from_dict(entry["spec"])
     print(f"resuming campaign {spec.name!r} ({spec.size} cells) from {store.root}")
@@ -143,7 +122,7 @@ def status_cmd(args) -> int:
     parse one format.
     """
     status = store_status(ResultStore(args.store))
-    if getattr(args, "json", False):
+    if args.json:
         print(json.dumps(status, indent=2, sort_keys=True))
         return 0
     print(f"store {status['root']}: {status['records']} records "
@@ -181,45 +160,33 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_run = sub.add_parser("run", help="run (or resume) a campaign")
     p_run.add_argument("--name", default="campaign", help="campaign name")
-    p_run.add_argument("--store", default=None,
-                       help="result-store directory (omit for an uncached run)")
-    _add_grid_args(p_run)
+    FLAGS["store"](p_run, help="result-store directory (omit for an "
+                               "uncached run)")
+    add_grid_args(p_run)
     _add_exec_args(p_run)
     p_run.set_defaults(fn=run_cmd)
 
     p_resume = sub.add_parser("resume",
                               help="re-run the campaign recorded in a store")
-    p_resume.add_argument("--store", required=True)
+    FLAGS["store"](p_resume, required=True)
     p_resume.add_argument("--name", default=None,
                           help="campaign name (default: most recent entry)")
     _add_exec_args(p_resume)
     p_resume.set_defaults(fn=resume_cmd)
 
     p_status = sub.add_parser("status", help="inspect a result store")
-    p_status.add_argument("--store", required=True)
-    p_status.add_argument("--json", action="store_true",
-                          help="machine-readable store/campaign stats "
-                               "(same schema as the repro-serve status "
-                               "endpoint's `store` section)")
+    FLAGS["store"](p_status, required=True)
+    FLAGS["json"](p_status, help="machine-readable store/campaign stats "
+                                 "(same schema as the repro-serve status "
+                                 "endpoint's `store` section)")
     p_status.set_defaults(fn=status_cmd)
 
     p_clean = sub.add_parser("clean", help="drop records from a store")
-    p_clean.add_argument("--store", required=True)
+    FLAGS["store"](p_clean, required=True)
     p_clean.add_argument("--failures-only", action="store_true",
                          help="only drop failure records (so they retry)")
     p_clean.set_defaults(fn=clean_cmd)
-
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # stdout consumer went away (e.g. `... | head`); not an error.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
+    return run_command(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -29,27 +29,14 @@ import sys
 from typing import List, Optional
 
 from ..analysis.report import render_table
-from ..errors import ConfigError, ProtocolError
-from ..serve.client import ServiceClient
-from ..studies import GridSpec
+from ..campaign.cli import add_grid_args, grid_from_args
+from ..cli import CONN_FLAGS, JVM_FLAGS, add_flags, config_from_args, run_command
+from ..errors import ConfigError
+from ..serve.cli import call, job_dicts
 from .coordinator import ClusterConfig, ClusterCoordinator
 
-
-def _conn_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="coordinator Unix socket path")
-    parser.add_argument("--host", default="127.0.0.1", help="TCP host")
-    parser.add_argument("--port", type=int, default=0, help="TCP port")
-
-
-def _check_conn(args) -> None:
-    if not args.socket and not args.port:
-        raise ConfigError("need --socket PATH or --port N to reach "
-                          "the coordinator")
-
-
-def _connect(args) -> "ServiceClient":
-    return ServiceClient.connect(args.socket, args.host, args.port)
+#: How the connection-flag errors name what a client could not reach.
+COORDINATOR = "the coordinator"
 
 
 # -- serve ---------------------------------------------------------------
@@ -83,92 +70,37 @@ def serve_cmd(args) -> int:
 # -- submit --------------------------------------------------------------
 
 
-def _grid_args(parser: argparse.ArgumentParser) -> None:
-    grid = parser.add_argument_group("grid axes")
-    grid.add_argument("--benchmarks", nargs="+", required=True,
-                      help="DaCapo benchmark names")
-    grid.add_argument("--gcs", nargs="+", default=["ParallelOld"],
-                      help="collectors (Serial|ParNew|Parallel|ParallelOld|CMS|G1)")
-    grid.add_argument("--heaps", nargs="+", default=["1g"],
-                      help="heap sizes (-Xmx), e.g. 1g 16g")
-    grid.add_argument("--youngs", nargs="+", default=None,
-                      help="young sizes (-Xmn); omit for the default fraction")
-    grid.add_argument("--seeds", nargs="+", type=int, default=[0],
-                      help="simulation seeds")
-    grid.add_argument("--iterations", type=int, default=10,
-                      help="DaCapo iterations per cell")
-    grid.add_argument("--no-system-gc", action="store_true",
-                      help="disable the forced full GC between iterations")
-    grid.add_argument("--no-tlab", action="store_true", help="disable TLABs")
-
-
-def _grid_jobs(args) -> List[dict]:
-    grid = GridSpec(
-        benchmarks=args.benchmarks, gcs=args.gcs, heaps=args.heaps,
-        youngs=args.youngs if args.youngs is not None else [None],
-        seeds=args.seeds, iterations=args.iterations,
-        system_gc=not args.no_system_gc, tlab_enabled=not args.no_tlab,
-    )
-    jobs = []
-    for benchmark, gc, heap, young, seed in grid.cells():
-        job = {
-            "benchmark": benchmark, "gc": gc, "heap": heap, "seed": seed,
-            "iterations": grid.iterations, "system_gc": grid.system_gc,
-            "tlab_enabled": grid.tlab_enabled,
-        }
-        if young is not None:
-            job["young"] = young
-        jobs.append(job)
-    return jobs
-
-
 def submit_cmd(args) -> int:
-    _check_conn(args)
-    jobs = _grid_jobs(args)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            responses = await asyncio.gather(
-                *(client.submit(job, timeout=args.wait) for job in jobs))
-        finally:
-            await client.close()
-        simulated = cached = failed = 0
-        for job, resp in zip(jobs, responses):
-            kind = resp.get("type")
-            if kind == "result":
-                if resp.get("cached"):
-                    cached += 1
-                else:
-                    simulated += 1
-                continue
-            failed += 1
-            detail = resp.get("reason") or json.dumps(
-                resp.get("failure", {}), sort_keys=True)
-            print(f"{kind}: {job['benchmark']}/{job['gc']}"
-                  f"/seed{job['seed']}: {detail}", file=sys.stderr)
-        # Grep-stable summary (the CI cluster-smoke job asserts on it).
-        print(f"cluster: simulated {simulated}, "
-              f"cached {cached}/{len(jobs)}, failed {failed}")
-        return 1 if failed else 0
-
-    return asyncio.run(main())
+    jobs = job_dicts(args, grid_from_args(args).cells())
+    responses = call(args, lambda client: asyncio.gather(
+        *(client.submit(job, timeout=args.wait) for job in jobs)),
+        COORDINATOR)
+    simulated = cached = failed = 0
+    for job, resp in zip(jobs, responses):
+        kind = resp.get("type")
+        if kind == "result":
+            if resp.get("cached"):
+                cached += 1
+            else:
+                simulated += 1
+            continue
+        failed += 1
+        detail = resp.get("reason") or json.dumps(
+            resp.get("failure", {}), sort_keys=True)
+        print(f"{kind}: {job['benchmark']}/{job['gc']}"
+              f"/seed{job['seed']}: {detail}", file=sys.stderr)
+    # Grep-stable summary (the CI cluster-smoke job asserts on it).
+    print(f"cluster: simulated {simulated}, "
+          f"cached {cached}/{len(jobs)}, failed {failed}")
+    return 1 if failed else 0
 
 
 # -- status --------------------------------------------------------------
 
 
 def status_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.status(timeout=60.0)
-        finally:
-            await client.close()
-
-    stats = asyncio.run(main())
+    stats = call(args, lambda client: client.status(timeout=60.0),
+                 COORDINATOR)
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -212,16 +144,8 @@ def status_cmd(args) -> int:
 
 
 def drain_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.drain(timeout=args.wait)
-        finally:
-            await client.close()
-
-    msg = asyncio.run(main())
+    msg = call(args, lambda client: client.drain(timeout=args.wait),
+               COORDINATOR)
     stats = msg.get("stats", {})
     cache = stats.get("totals", {}).get("cache", {})
     counters = stats.get("metrics", {}).get("counters", {})
@@ -251,7 +175,6 @@ def failures_cmd(args) -> int:
     """GC pauses vs. the cluster failure detector (PAPER §5)."""
     from ..cassandra.cluster import ClusterConfig as StudyConfig
     from ..cassandra.cluster import run_cluster_study
-    from ..cli import _build_config
     from ..units import MB
 
     cluster = StudyConfig(n_nodes=args.nodes,
@@ -259,7 +182,7 @@ def failures_cmd(args) -> int:
     result = run_cluster_study(
         args.gc, cluster=cluster, duration=args.duration,
         ops_per_second=args.ops, seed=args.seed,
-        jvm_template=_build_config(args),
+        jvm_template=config_from_args(args),
     )
     print(render_table(
         ["metric", "value"],
@@ -280,8 +203,6 @@ def failures_cmd(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from ..cli import _jvm_args
-
     parser = argparse.ArgumentParser(
         prog="repro-cluster",
         description="Multi-node experiment fabric: consistent-hash "
@@ -291,38 +212,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the cluster coordinator")
-    _conn_args(p)
+    add_flags(p, *CONN_FLAGS)
     p.add_argument("--node", action="append", default=[],
                    metavar="ADDR",
                    help="worker address (unix:/path or host:port); "
                         "repeat per node")
-    p.add_argument("--queue-limit", type=int, default=256,
-                   help="in-flight forward bound; submits beyond it get 429")
+    add_flags(p, "queue-limit")
     p.add_argument("--forward-timeout", type=float, default=600.0,
                    help="per-forward worker response budget (seconds)")
     p.add_argument("--steal-interval", type=float, default=0.5,
                    help="straggler-check period (seconds)")
     p.add_argument("--steal-threshold", type=int, default=2,
                    help="min pending-job imbalance before stealing")
-    p.set_defaults(fn=serve_cmd)
+    p.set_defaults(queue_limit=256, fn=serve_cmd)
 
     p = sub.add_parser("submit", help="submit a campaign grid and wait")
-    _conn_args(p)
-    _grid_args(p)
-    p.add_argument("--wait", type=float, default=600.0,
-                   help="per-cell client timeout (seconds)")
-    p.set_defaults(fn=submit_cmd)
+    add_flags(p, *CONN_FLAGS)
+    add_grid_args(p)
+    add_flags(p, "wait")
+    p.set_defaults(heaps=["1g"], fn=submit_cmd)
 
     p = sub.add_parser("status", help="aggregated cluster stats")
-    _conn_args(p)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable aggregate snapshot")
+    add_flags(p, *CONN_FLAGS, "json")
     p.set_defaults(fn=status_cmd)
 
     p = sub.add_parser("drain", help="drain coordinator and all workers")
-    _conn_args(p)
-    p.add_argument("--wait", type=float, default=600.0,
-                   help="how long to wait for the drain (seconds)")
+    add_flags(p, *CONN_FLAGS, "wait")
     p.set_defaults(fn=drain_cmd)
 
     p = sub.add_parser("merge", help="merge shard result stores into one")
@@ -336,29 +251,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="GC-vs-failure-detector study (the original "
                             "repro-cluster command)")
     p.add_argument("-n", "--nodes", type=int, default=3)
-    p.add_argument("--duration", type=float, default=3600.0)
-    p.add_argument("--ops", type=float, default=1350.0)
+    add_flags(p, "duration", "ops")
     p.add_argument("--phi-timeout", type=float, default=3.0,
                    help="failure-detector conviction timeout (s)")
-    _jvm_args(p)
+    add_flags(p, *JVM_FLAGS)
     p.set_defaults(heap="64g", young="12g", fn=failures_cmd)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except (ConfigError, ProtocolError) as exc:
-        print(f"repro-cluster: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        return 0
-    except (ConnectionError, FileNotFoundError) as exc:
-        print(f"repro-cluster: cannot reach coordinator: {exc}",
-              file=sys.stderr)
-        return 2
+    """Entry point for ``repro-cluster``."""
+    return run_command(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

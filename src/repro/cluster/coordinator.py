@@ -216,10 +216,12 @@ class ClusterCoordinator:
         for conn in list(self._conns):
             conn.close()
         self._conns.clear()
-        for client in self._clients.values():
+        # Snapshot first: a worker hanging up while we await a close
+        # fails its node, which pops that node's client from the map.
+        clients, self._clients = list(self._clients.values()), {}
+        for client in clients:
             with contextlib.suppress(Exception):
                 await client.close()
-        self._clients.clear()
         if self.config.socket_path:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(self.config.socket_path)

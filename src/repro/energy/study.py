@@ -62,19 +62,24 @@ class EnergyStudyConfig:
                      topology=self.topologies, seed=self.seeds)
         if self.iterations < 1:
             raise ConfigError("iterations must be >= 1")
+        # Normalised, then deduplicated (G1/G1GC are one collector; a
+        # repeated seed must not weigh twice in a mean).
         object.__setattr__(self, "benchmarks",
-                           tuple(str(b) for b in self.benchmarks))
-        object.__setattr__(self, "gcs",
-                           tuple(resolve_gc(g).value for g in self.gcs))
+                           tuple(dict.fromkeys(str(b) for b in self.benchmarks)))
+        object.__setattr__(
+            self, "gcs",
+            tuple(dict.fromkeys(resolve_gc(g).value for g in self.gcs)))
         object.__setattr__(
             self, "placements",
-            tuple(resolve_placement(p).name for p in self.placements))
+            tuple(dict.fromkeys(resolve_placement(p).name
+                                for p in self.placements)))
         object.__setattr__(
             self, "topologies",
-            tuple(resolve_topology(t).name for t in self.topologies))
+            tuple(dict.fromkeys(resolve_topology(t).name
+                                for t in self.topologies)))
         object.__setattr__(self, "heap", float(parse_size(self.heap)))
         object.__setattr__(self, "seeds",
-                           tuple(sorted(int(s) for s in self.seeds)))
+                           tuple(sorted({int(s) for s in self.seeds})))
 
     def cell(self, topology: str, gc: str, placement: str, benchmark: str,
              seed: int) -> "CellSpec":

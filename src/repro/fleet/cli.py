@@ -15,62 +15,34 @@ accounting goes to stdout only, never into the JSON.
 
 from __future__ import annotations
 
-import argparse
-import json
 from typing import List, Optional
 
-from ..campaign.store import ResultStore
-from ..errors import ConfigError
+from ..cli import FLAGS, add_flags, load_study, study_command
 from .policies import POLICY_NAMES
 from .study import FleetStudyConfig, FleetStudyResult, run_fleet_study
 from .traffic import TrafficConfig
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-fleet",
-        description="GC-aware fleet load balancing and scaling studies",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run = sub.add_parser("run", help="run a fleet study")
-    run.add_argument("--gcs", nargs="+", default=["ParallelOld", "CMS", "G1"],
-                     help="collectors to study")
-    run.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
-                     choices=list(POLICY_NAMES),
-                     help="balancing policies to compare")
-    run.add_argument("--nodes", type=int, default=16,
-                     help="initial fleet size")
-    run.add_argument("--duration", type=float, default=86_400.0,
-                     help="simulated seconds (default: one day)")
-    run.add_argument("--period", type=float, default=86_400.0,
-                     help="diurnal period in simulated seconds")
-    run.add_argument("--users", type=int, default=2_000_000,
-                     help="simulated user population")
-    run.add_argument("--seed", type=int, default=0, help="study seed")
-    run.add_argument("--calibration-duration", type=float, default=3600.0,
-                     help="simulated seconds per calibration JVM run")
-    run.add_argument("--store", default=None, metavar="DIR",
-                     help="campaign ResultStore for calibration cells")
-    run.add_argument("--out", default=None, metavar="FILE",
-                     help="write canonical study JSON here")
-    run.set_defaults(func=cmd_run)
-
-    report = sub.add_parser("report", help="render tables from a study JSON")
-    report.add_argument("study", help="study JSON written by `run --out`")
-    report.set_defaults(func=cmd_report)
-
-    plot = sub.add_parser("plot", help="ASCII plots from a study JSON")
-    plot.add_argument("study", help="study JSON written by `run --out`")
-    plot.add_argument("--gc", required=True, help="collector to plot")
-    plot.add_argument("--kind", choices=["nodes", "tail"], default="nodes",
-                      help="nodes: fleet size over time; tail: P50..P99.9")
-    plot.set_defaults(func=cmd_plot)
-    return parser
+def _add_run_args(p) -> None:
+    add_flags(p, "gcs")
+    p.add_argument("--policies", nargs="+", default=list(POLICY_NAMES),
+                   choices=list(POLICY_NAMES),
+                   help="balancing policies to compare")
+    p.add_argument("--nodes", type=int, default=16,
+                   help="initial fleet size")
+    FLAGS["duration"](p, help="simulated seconds (default: one day)")
+    p.add_argument("--period", type=float, default=86_400.0,
+                   help="diurnal period in simulated seconds")
+    p.add_argument("--users", type=int, default=2_000_000,
+                   help="simulated user population")
+    FLAGS["seed"](p, help="study seed")
+    p.add_argument("--calibration-duration", type=float, default=3600.0,
+                   help="simulated seconds per calibration JVM run")
+    p.set_defaults(gcs=["ParallelOld", "CMS", "G1"], duration=86_400.0)
 
 
-def cmd_run(args) -> int:
-    config = FleetStudyConfig(
+def _run(args, store):
+    result = run_fleet_study(FleetStudyConfig(
         gcs=tuple(args.gcs),
         policies=tuple(args.policies),
         n_nodes=args.nodes,
@@ -78,33 +50,12 @@ def cmd_run(args) -> int:
         traffic=TrafficConfig(users=args.users, period=args.period),
         calibration_duration=args.calibration_duration,
         seed=args.seed,
-    )
-    store = ResultStore(args.store) if args.store else None
-    result = run_fleet_study(config, store=store)
-    # Cache accounting stays OUT of the JSON: a cached rerun must be
-    # byte-identical to the run that populated the cache.
-    print(f"calibration: {result.calibration_hits}/"
-          f"{result.calibration_total} cache hits")
-    print(result.render())
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(result.to_json())
-        print(f"study written to {args.out}")
-    return 0
+    ), store=store)
+    return result, result.calibration_hits, result.calibration_total
 
 
-def _load(path: str) -> FleetStudyResult:
-    with open(path) as fh:
-        return FleetStudyResult.from_dict(json.load(fh))
-
-
-def cmd_report(args) -> int:
-    print(_load(args.study).render())
-    return 0
-
-
-def cmd_plot(args) -> int:
-    result = _load(args.study)
+def _plot(args) -> int:
+    result = load_study(args.study, FleetStudyResult)
     if args.kind == "nodes":
         print(result.plot_nodes(args.gc))
     else:
@@ -112,11 +63,19 @@ def cmd_plot(args) -> int:
     return 0
 
 
+def _add_plot(sub) -> None:
+    p = sub.add_parser("plot", help="ASCII plots from a study JSON")
+    p.add_argument("study", help="study JSON written by `run --out`")
+    FLAGS["gc"](p, required=True, default=None, help="collector to plot")
+    p.add_argument("--kind", choices=["nodes", "tail"], default="nodes",
+                   help="nodes: fleet size over time; tail: P50..P99.9")
+    p.set_defaults(fn=_plot)
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}")
-        return 2
+    """Entry point for ``repro-fleet``."""
+    return study_command(
+        argv, prog="repro-fleet",
+        description="GC-aware fleet load balancing and scaling studies",
+        add_run_args=_add_run_args, run=_run, result_cls=FleetStudyResult,
+        hits="calibration", add_commands=_add_plot)

@@ -18,9 +18,7 @@ import argparse
 import sys
 from typing import List, Optional
 
-from ..errors import ReproError
-from ..jvm import JVMConfig
-from ..units import parse_size
+from ..cli import FLAGS, add_flags, config_from_args, run_command
 from ..workloads.dacapo import ALL_BENCHMARKS
 from . import fastpath
 from .profile import profile_run
@@ -29,17 +27,8 @@ from .report import render_text, to_json
 
 def profile_cmd(args) -> int:
     """``repro-perf profile``: cProfile one cell, print the hot spots."""
-    from ..heap.tlab import TLABConfig
-
-    config = JVMConfig(
-        gc=args.gc,
-        heap=parse_size(args.heap),
-        young=parse_size(args.young) if args.young else None,
-        tlab=TLABConfig(enabled=not args.no_tlab),
-        seed=args.seed,
-    )
     result = profile_run(
-        config, args.benchmark,
+        config_from_args(args), args.benchmark,
         iterations=args.iterations,
         system_gc=not args.no_system_gc,
         top=args.top,
@@ -70,21 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="cProfile one DaCapo cell")
     p.add_argument("benchmark", choices=ALL_BENCHMARKS)
-    p.add_argument("-n", "--iterations", type=int, default=10)
-    p.add_argument("--gc", default="ParallelOld",
-                   help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
-    p.add_argument("--heap", default="16g", help="heap size (-Xmx/-Xms)")
-    p.add_argument("--young", default=None, help="young size (-Xmn)")
-    p.add_argument("--no-tlab", action="store_true", help="disable TLABs")
-    p.add_argument("--seed", type=int, default=0, help="simulation seed")
-    p.add_argument("--no-system-gc", action="store_true",
-                   help="disable the forced full GC between iterations")
+    add_flags(p, "iterations", "gc", "heap", "young", "no-tlab", "seed",
+              "no-system-gc")
     p.add_argument("--top", type=int, default=25,
                    help="hot functions to keep (default 25)")
-    p.add_argument("--json", action="store_true",
-                   help="emit the JSON report instead of text")
-    p.add_argument("-o", "--output", default=None,
-                   help="write the report to a file instead of stdout")
+    FLAGS["json"](p, help="emit the JSON report instead of text")
+    FLAGS["output"](p, help="write the report to a file instead of stdout")
     p.set_defaults(fn=profile_cmd)
 
     p = sub.add_parser("fastpath", help="show the REPRO_FASTPATH gate state")
@@ -93,14 +73,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Entry point; returns the process exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    """Entry point for ``repro-perf``; returns the process exit code."""
+    return run_command(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

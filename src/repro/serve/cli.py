@@ -20,56 +20,65 @@ import argparse
 import asyncio
 import json
 import sys
-from typing import List, Optional
+from typing import Awaitable, Callable, Iterable, List, Optional, TypeVar
 
 from ..analysis.report import render_table
-from ..errors import ConfigError, ProtocolError
+from ..cli import CONN_FLAGS, FLAGS, add_flags, run_command
+from ..errors import ConfigError, ReproError
 from .client import ServiceClient
 from .loadgen import LoadConfig, run_load
 from .service import ExperimentService, ServiceConfig
 
+T = TypeVar("T")
 
-def _conn_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--socket", default=None, metavar="PATH",
-                        help="Unix socket path (preferred locally)")
-    parser.add_argument("--host", default="127.0.0.1", help="TCP host")
-    parser.add_argument("--port", type=int, default=0, help="TCP port")
+#: The flags of one service job, as ``submit`` and ``load`` take them.
+JOB_FLAGS = ("gc", "heap", "young", "seed", "iterations", "no-system-gc",
+             "no-tlab")
 
 
-def _check_conn(args) -> None:
+def reach(args, main: Callable[[], Awaitable[T]],
+          what: str = "the service") -> T:
+    """``asyncio.run(main())`` against the service the connection flags
+    in *args* name; an unreachable service is a :class:`ReproError`."""
     if not args.socket and not args.port:
-        raise ConfigError("need --socket PATH or --port N to reach a service")
+        raise ConfigError(f"need --socket PATH or --port N to reach {what}")
+    try:
+        return asyncio.run(main())
+    except (ConnectionError, FileNotFoundError) as exc:
+        raise ReproError(f"cannot reach {what}: {exc}") from None
 
 
-def _job_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--gc", default="ParallelOld",
-                        help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
-    parser.add_argument("--heap", default="1g", help="heap size (-Xmx/-Xms)")
-    parser.add_argument("--young", default=None, help="young size (-Xmn)")
-    parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("-n", "--iterations", type=int, default=10)
-    parser.add_argument("--no-system-gc", action="store_true",
-                        help="disable the forced full GC between iterations")
-    parser.add_argument("--no-tlab", action="store_true", help="disable TLABs")
+def call(args, fn: Callable[[ServiceClient], Awaitable[T]],
+         what: str = "the service") -> T:
+    """Connect, ``await fn(client)``, close — one client round trip."""
+    async def main() -> T:
+        client = await ServiceClient.connect(args.socket, args.host, args.port)
+        try:
+            return await fn(client)
+        finally:
+            await client.close()
+
+    return reach(args, main, what)
 
 
-def _job_from_args(args, benchmark: str, seed: Optional[int] = None) -> dict:
-    job = {
-        "benchmark": benchmark,
-        "gc": args.gc,
-        "heap": args.heap,
-        "seed": args.seed if seed is None else seed,
-        "iterations": args.iterations,
-        "system_gc": not args.no_system_gc,
-        "tlab_enabled": not args.no_tlab,
-    }
-    if args.young:
-        job["young"] = args.young
-    return job
-
-
-def _connect(args) -> "ServiceClient":
-    return ServiceClient.connect(args.socket, args.host, args.port)
+def job_dicts(args, cells: Iterable) -> List[dict]:
+    """Service jobs for ``(benchmark, gc, heap, young, seed)`` *cells*;
+    iterations, system GC and TLABs come from the *args* flags."""
+    jobs = []
+    for benchmark, gc, heap, young, seed in cells:
+        job = {
+            "benchmark": benchmark,
+            "gc": gc,
+            "heap": heap,
+            "seed": seed,
+            "iterations": args.iterations,
+            "system_gc": not args.no_system_gc,
+            "tlab_enabled": not args.no_tlab,
+        }
+        if young:
+            job["young"] = young
+        jobs.append(job)
+    return jobs
 
 
 # -- serve ---------------------------------------------------------------
@@ -102,68 +111,51 @@ def serve_cmd(args) -> int:
 
 
 def submit_cmd(args) -> int:
-    _check_conn(args)
-    job = _job_from_args(args, args.benchmark)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            resp = await client.submit(job, timeout=args.wait)
-        finally:
-            await client.close()
-        kind = resp.get("type")
-        if kind == "result":
-            run = resp["run"]
-            meta = resp.get("meta", {})
-            source = "cache" if resp.get("cached") else (
-                f"simulated in {meta.get('exec_s', 0.0):.3f}s "
-                f"(attempt {meta.get('attempts')}, "
-                f"queued {meta.get('queued_s', 0.0):.3f}s)")
-            print(f"result {resp['digest'][:12]} [{source}]")
-            # encode_run pauses: [start, duration, kind, cause, ...]
-            pauses = run.get("gc_log", {}).get("pauses", [])
-            full = sum(1 for p in pauses if p[2] == "full")
-            print(render_table(
-                ["benchmark", "gc", "exec (s)", "#pauses(full)",
-                 "total pause (s)", "crashed"],
-                [[args.benchmark, args.gc,
-                  round(run.get("execution_time", 0.0), 3),
-                  f"{len(pauses)}({full})",
-                  round(sum(p[1] for p in pauses), 3),
-                  bool(run.get("crashed"))]],
-            ))
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(run, fh, sort_keys=True, indent=2)
-                print(f"run written to {args.out}")
-            return 1 if run.get("crashed") else 0
-        if kind == "failed":
-            failure = resp.get("failure", {})
-            print(f"failed {resp.get('digest', '')[:12]}: "
-                  f"[{failure.get('kind')}] {failure.get('error')} "
-                  f"({failure.get('attempts')} attempts)", file=sys.stderr)
-            return 1
-        print(f"{kind} ({resp.get('code')}): {resp.get('reason')}",
-              file=sys.stderr)
+    job, = job_dicts(args, [(args.benchmark, args.gc, args.heap, args.young,
+                             args.seed)])
+    resp = call(args, lambda client: client.submit(job, timeout=args.wait))
+    kind = resp.get("type")
+    if kind == "result":
+        run = resp["run"]
+        meta = resp.get("meta", {})
+        source = "cache" if resp.get("cached") else (
+            f"simulated in {meta.get('exec_s', 0.0):.3f}s "
+            f"(attempt {meta.get('attempts')}, "
+            f"queued {meta.get('queued_s', 0.0):.3f}s)")
+        print(f"result {resp['digest'][:12]} [{source}]")
+        # encode_run pauses: [start, duration, kind, cause, ...]
+        pauses = run.get("gc_log", {}).get("pauses", [])
+        full = sum(1 for p in pauses if p[2] == "full")
+        print(render_table(
+            ["benchmark", "gc", "exec (s)", "#pauses(full)",
+             "total pause (s)", "crashed"],
+            [[args.benchmark, args.gc,
+              round(run.get("execution_time", 0.0), 3),
+              f"{len(pauses)}({full})",
+              round(sum(p[1] for p in pauses), 3),
+              bool(run.get("crashed"))]],
+        ))
+        if args.out:
+            with open(args.out, "w") as fh:
+                json.dump(run, fh, sort_keys=True, indent=2)
+            print(f"run written to {args.out}")
+        return 1 if run.get("crashed") else 0
+    if kind == "failed":
+        failure = resp.get("failure", {})
+        print(f"failed {resp.get('digest', '')[:12]}: "
+              f"[{failure.get('kind')}] {failure.get('error')} "
+              f"({failure.get('attempts')} attempts)", file=sys.stderr)
         return 1
-
-    return asyncio.run(main())
+    print(f"{kind} ({resp.get('code')}): {resp.get('reason')}",
+          file=sys.stderr)
+    return 1
 
 
 # -- status --------------------------------------------------------------
 
 
 def status_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.status(timeout=30.0)
-        finally:
-            await client.close()
-
-    stats = asyncio.run(main())
+    stats = call(args, lambda client: client.status(timeout=30.0))
     if args.json:
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
@@ -205,16 +197,7 @@ def status_cmd(args) -> int:
 
 
 def drain_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> dict:
-        client = await _connect(args)
-        try:
-            return await client.drain(timeout=args.wait)
-        finally:
-            await client.close()
-
-    msg = asyncio.run(main())
+    msg = call(args, lambda client: client.drain(timeout=args.wait))
     stats = msg.get("stats", {})
     cache = stats.get("cache", {})
     quarantined = stats.get("metrics", {}).get(
@@ -228,26 +211,20 @@ def drain_cmd(args) -> int:
 
 
 def events_cmd(args) -> int:
-    _check_conn(args)
-
-    async def main() -> int:
-        client = await _connect(args)
-        try:
-            await client.subscribe()
-            count = 0
-            async for event in client.events():
-                print(json.dumps(event, sort_keys=True), flush=True)
-                count += 1
-                if args.count and count >= args.count:
-                    break
-                if event.get("kind") == "drained":
-                    break
-            return 0
-        finally:
-            await client.close()
+    async def stream(client: ServiceClient) -> int:
+        await client.subscribe()
+        count = 0
+        async for event in client.events():
+            print(json.dumps(event, sort_keys=True), flush=True)
+            count += 1
+            if args.count and count >= args.count:
+                break
+            if event.get("kind") == "drained":
+                break
+        return 0
 
     try:
-        return asyncio.run(main())
+        return call(args, stream)
     except KeyboardInterrupt:
         return 0
 
@@ -256,18 +233,17 @@ def events_cmd(args) -> int:
 
 
 def load_cmd(args) -> int:
-    _check_conn(args)
-    templates = [
-        _job_from_args(args, benchmark, seed=args.seed + d)
-        for benchmark in args.benchmark
+    templates = job_dicts(args, [
+        (benchmark, args.gc, args.heap, args.young, args.seed + d)
+        for benchmark in args.benchmark or ["xalan", "lusearch"]
         for d in range(args.distinct)
-    ]
+    ])
     config = LoadConfig(
         templates=templates, clients=args.clients, rps=args.rps,
         ops=args.ops, seed=args.seed, socket_path=args.socket,
         host=args.host, port=args.port, timeout=args.wait,
     )
-    report = asyncio.run(run_load(config))
+    report = reach(args, lambda: run_load(config))
     print(report.render())
     return 1 if (report.errors or report.failed) else 0
 
@@ -284,57 +260,39 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("serve", help="run the experiment service")
-    _conn_args(p)
-    p.add_argument("--store", default=None, metavar="DIR",
-                   help="ResultStore directory (shared with repro-campaign)")
-    p.add_argument("--queue-limit", type=int, default=64,
-                   help="admission bound; submits beyond it get a 429")
-    p.add_argument("--workers", type=int, default=2,
-                   help="concurrent job slots")
-    p.add_argument("--executor", choices=["serial", "process"],
-                   default="serial", help="execution backend")
+    add_flags(p, *CONN_FLAGS, "store", "queue-limit", "workers", "executor")
     p.add_argument("--pool-workers", type=int, default=None,
                    help="process-pool size (process executor)")
-    p.add_argument("--timeout", type=float, default=None,
-                   help="per-job wall-clock budget (seconds)")
-    p.add_argument("--retries", type=int, default=1,
-                   help="retries before a cell is quarantined")
-    p.set_defaults(fn=serve_cmd)
+    add_flags(p, "timeout", "retries")
+    p.set_defaults(workers=2, executor="serial", retries=1, fn=serve_cmd)
 
     p = sub.add_parser("submit", help="submit one job and wait")
-    _conn_args(p)
+    add_flags(p, *CONN_FLAGS)
     p.add_argument("benchmark")
-    _job_args(p)
-    p.add_argument("--wait", type=float, default=600.0,
-                   help="client-side response timeout (seconds)")
-    p.add_argument("--out", default=None, metavar="PATH",
-                   help="write the RunResult JSON to a file")
-    p.set_defaults(fn=submit_cmd)
+    add_flags(p, *JOB_FLAGS, "wait")
+    FLAGS["out"](p, metavar="PATH", help="write the RunResult JSON to a file")
+    p.set_defaults(heap="1g", fn=submit_cmd)
 
     p = sub.add_parser("status", help="show service stats")
-    _conn_args(p)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable stats snapshot")
+    add_flags(p, *CONN_FLAGS, "json")
     p.set_defaults(fn=status_cmd)
 
     p = sub.add_parser("drain", help="drain the service and wait")
-    _conn_args(p)
-    p.add_argument("--wait", type=float, default=600.0,
-                   help="how long to wait for the drain (seconds)")
+    add_flags(p, *CONN_FLAGS, "wait")
     p.set_defaults(fn=drain_cmd)
 
     p = sub.add_parser("events", help="stream live service events")
-    _conn_args(p)
+    add_flags(p, *CONN_FLAGS)
     p.add_argument("--count", type=int, default=0,
                    help="stop after N events (0 = until drained/^C)")
     p.set_defaults(fn=events_cmd)
 
     p = sub.add_parser("load", help="synthetic open-loop load generator")
-    _conn_args(p)
+    add_flags(p, *CONN_FLAGS)
     p.add_argument("--benchmark", action="append", default=None,
                    help="benchmark(s) in the mix (repeatable; "
                         "default: xalan lusearch)")
-    _job_args(p)
+    add_flags(p, *JOB_FLAGS)
     p.add_argument("--clients", type=int, default=4,
                    help="persistent client connections")
     p.add_argument("--rps", type=float, default=50.0,
@@ -342,29 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ops", type=int, default=100, help="total requests")
     p.add_argument("--distinct", type=int, default=4,
                    help="distinct seeds per benchmark in the mix")
-    p.add_argument("--wait", type=float, default=600.0,
-                   help="per-request client timeout (seconds)")
-    p.set_defaults(fn=load_cmd)
+    add_flags(p, "wait")
+    p.set_defaults(heap="1g", fn=load_cmd)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "load" and not args.benchmark:
-        args.benchmark = ["xalan", "lusearch"]
-    try:
-        return args.fn(args)
-    except (ConfigError, ProtocolError) as exc:
-        print(f"repro-serve: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # stdout closed early (e.g. piped through `head`); not a
-        # service failure — mirror the conventional silent exit.
-        return 0
-    except (ConnectionError, FileNotFoundError) as exc:
-        print(f"repro-serve: cannot reach service: {exc}", file=sys.stderr)
-        return 2
+    """Entry point for ``repro-serve``."""
+    return run_command(build_parser(), argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

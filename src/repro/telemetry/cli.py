@@ -22,28 +22,19 @@ import os
 import sys
 from typing import List, Optional
 
-from ..errors import ReproError
-from ..jvm import JVM, JVMConfig
-from ..units import parse_size
+from ..cli import FLAGS, add_flags, config_from_args, run_command
+from ..jvm import JVM
 from ..workloads.dacapo import ALL_BENCHMARKS, get_benchmark
-from .export import read_trace, render_diff, render_report, write_chrome, write_trace
+from .export import (read_trace, render_diff, render_report, write_chrome,
+                     write_jsonl, write_trace)
 from .ring import DEFAULT_CAPACITY
 from .tracer import Tracer
 
 
 def record_cmd(args) -> int:
     """``repro-trace record``: run one benchmark with tracing on."""
-    from ..heap.tlab import TLABConfig
-
-    config = JVMConfig(
-        gc=args.gc,
-        heap=parse_size(args.heap),
-        young=parse_size(args.young) if args.young else None,
-        tlab=TLABConfig(enabled=not args.no_tlab),
-        seed=args.seed,
-    )
     tracer = Tracer(capacity=args.ring_capacity)
-    jvm = JVM(config, tracer=tracer)
+    jvm = JVM(config_from_args(args), tracer=tracer)
     result = jvm.run(
         get_benchmark(args.benchmark),
         iterations=args.iterations,
@@ -71,24 +62,9 @@ def export_cmd(args) -> int:
     if args.format == "chrome":
         write_chrome(trace, args.output)
     else:
-        # Re-canonicalize: rebuild the JSONL through a fresh tracer-less
-        # serialization (stable keys/separators), e.g. to normalize a
+        # Re-canonicalize (stable keys/separators), e.g. to normalize a
         # hand-edited trace.
-        import json
-
-        with open(args.output, "w") as fh:
-            fh.write(json.dumps(
-                {"type": "meta", "v": 1, "meta": trace.meta},
-                sort_keys=True, separators=(",", ":")) + "\n")
-            for ev in trace.events:
-                line = {"type": "event"}
-                line.update(ev.to_dict())
-                fh.write(json.dumps(line, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
-            summary = {"type": "summary"}
-            summary.update(trace.summary)
-            fh.write(json.dumps(summary, sort_keys=True,
-                                separators=(",", ":")) + "\n")
+        write_jsonl(args.output, trace.meta, trace.events, trace.summary)
     print(f"exported {args.trace} -> {args.output} ({args.format})")
     return 0
 
@@ -115,19 +91,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_rec = sub.add_parser("record", help="run a benchmark with tracing on")
     p_rec.add_argument("benchmark", choices=ALL_BENCHMARKS)
-    p_rec.add_argument("-n", "--iterations", type=int, default=10)
-    p_rec.add_argument("--no-system-gc", action="store_true",
-                       help="disable the forced full GC between iterations")
-    p_rec.add_argument("--gc", default="ParallelOld",
-                       help="collector: Serial|ParNew|Parallel|ParallelOld|CMS|G1")
-    p_rec.add_argument("--heap", default="16g", help="heap size (-Xmx/-Xms)")
-    p_rec.add_argument("--young", default=None, help="young size (-Xmn)")
-    p_rec.add_argument("--no-tlab", action="store_true", help="disable TLABs")
-    p_rec.add_argument("--seed", type=int, default=0, help="simulation seed")
+    add_flags(p_rec, "iterations", "no-system-gc", "gc", "heap", "young",
+              "no-tlab", "seed")
     p_rec.add_argument("--ring-capacity", type=int, default=DEFAULT_CAPACITY,
                        help="event-ring size (oldest events drop beyond it)")
-    p_rec.add_argument("-o", "--output", default="repro.trace.jsonl",
-                       help="trace file to write")
+    FLAGS["output"](p_rec, default="repro.trace.jsonl",
+                    help="trace file to write")
     p_rec.set_defaults(fn=record_cmd)
 
     p_rep = sub.add_parser("report", help="percentile report of trace file(s)")
@@ -138,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_exp.add_argument("trace", help="input trace file")
     p_exp.add_argument("--format", choices=["chrome", "jsonl"], default="chrome",
                        help="chrome = Perfetto/chrome://tracing JSON")
-    p_exp.add_argument("-o", "--output", required=True)
+    FLAGS["output"](p_exp, required=True)
     p_exp.set_defaults(fn=export_cmd)
 
     p_diff = sub.add_parser("diff", help="compare two traces' pause histograms")
@@ -146,16 +115,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_diff.add_argument("trace_b")
     p_diff.set_defaults(fn=diff_cmd)
 
-    args = parser.parse_args(argv)
-    try:
-        return args.fn(args)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return 0
+    return run_command(parser, argv)
 
 
 if __name__ == "__main__":  # pragma: no cover

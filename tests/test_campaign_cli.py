@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import campaign_main, dacapo_main
+from repro.campaign.cli import main as campaign_main
+from repro.cli import dacapo_main
 
 BASE = ["--benchmarks", "lusearch", "--gcs", "Serial", "ParallelOld",
         "--heaps", "1g", "--youngs", "256m", "--seeds", "0",

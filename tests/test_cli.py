@@ -88,7 +88,7 @@ class TestSpecjbbCLI:
 
 class TestClusterCLI:
     def test_failure_study_runs_as_subcommand(self, capsys):
-        from repro.cli import cluster_main
+        from repro.cluster.cli import main as cluster_main
 
         rc = cluster_main(["failures", "-n", "2", "--duration", "600",
                            "--gc", "ParallelOld"])
@@ -98,7 +98,7 @@ class TestClusterCLI:
 
     def test_merge_subcommand(self, capsys, tmp_path):
         from repro.campaign import CellSpec, ResultStore, run_cell
-        from repro.cli import cluster_main
+        from repro.cluster.cli import main as cluster_main
 
         cell = CellSpec.from_axes("lusearch", "Serial", "1g", "256m", 0,
                                   iterations=2)
@@ -112,7 +112,7 @@ class TestClusterCLI:
         assert len(ResultStore(str(tmp_path / "merged"))) == 1
 
     def test_submit_requires_connection_flags(self, capsys):
-        from repro.cli import cluster_main
+        from repro.cluster.cli import main as cluster_main
 
         rc = cluster_main(["submit", "--benchmarks", "lusearch"])
         assert rc == 2

@@ -249,6 +249,18 @@ class TestStudyConfig:
                                    seeds=(1, 2))
         assert len(config.cells()) == 4
 
+    def test_duplicate_axis_values_collapse(self):
+        config = EnergyStudyConfig(gcs=("G1", "G1GC"),
+                                   placements=("P", "p-cores"),
+                                   topologies=(ASYM_HYBRID, "asym-hybrid"),
+                                   seeds=(1, 1, 2))
+        assert config.gcs == ("G1GC",)
+        assert config.placements == ("p-cores",)
+        assert config.topologies == ("asym-hybrid",)
+        assert config.seeds == (1, 2)
+        digests = [cell.digest() for cell in config.cells()]
+        assert len(digests) == len(set(digests)) == 2
+
 
 class TestParetoFrontier:
     def _combo(self, gc, placement, p999, j_per_gb):

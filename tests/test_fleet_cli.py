@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import fleet_main
 from repro.fleet.cli import main
+from tests.test_cli_options import script_main
 
 RUN_ARGS = [
     "run", "--gcs", "ParallelOld", "--policies", "round-robin", "monk",
@@ -67,10 +67,10 @@ class TestReportAndPlot:
 
     def test_unknown_gc_is_config_error(self, study_file, capsys):
         assert main(["plot", str(study_file), "--gc", "CMS"]) == 2
-        assert "error:" in capsys.readouterr().out
+        assert "error:" in capsys.readouterr().err
 
 
 class TestEntryPoint:
     def test_fleet_main_delegates(self, study_file, capsys):
-        assert fleet_main(["report", str(study_file)]) == 0
+        assert script_main("repro-fleet")(["report", str(study_file)]) == 0
         assert "fleet study" in capsys.readouterr().out

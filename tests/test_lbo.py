@@ -73,6 +73,18 @@ class TestLBOConfig:
         # (2 collectors + ideal baseline) x 1 benchmark x 3 heaps x 2 seeds
         assert len(list(config.cells())) == 18
 
+    def test_duplicate_axis_values_collapse(self):
+        # "1g"/"1024m", seeds 1/1 and G1/G1GC each name one axis value:
+        # every cell must be a distinct run, weighed once in the fold.
+        config = LBOConfig(benchmarks=("xalan", "xalan"), gcs=("G1", "G1GC"),
+                           heaps=("1g", "1024m"), seeds=(1, 1, 2))
+        assert config.benchmarks == ("xalan",)
+        assert config.gcs == ("G1GC",)
+        assert config.heaps == (1 * GB,)
+        assert config.seeds == (1, 2)
+        digests = [cell.digest() for cell in config.cells()]
+        assert len(digests) == len(set(digests)) == 4
+
 
 class TestStudy:
     @pytest.fixture(scope="class")

@@ -138,9 +138,9 @@ class TestPerfCli:
         assert "fastpath:" in capsys.readouterr().out
 
     def test_entry_point_delegates(self, capsys):
-        from repro.cli import perf_main
+        from tests.test_cli_options import script_main
 
-        assert perf_main(["fastpath"]) == 0
+        assert script_main("repro-perf")(["fastpath"]) == 0
         capsys.readouterr()
 
 
